@@ -31,9 +31,9 @@ bench-smoke:
 	$(PYTHON) benchmarks/check_regression.py \
 		--baseline BENCH_baseline.json --current BENCH_merge.json
 
-# The full-scale lane CI's pool-bench job runs on a multi-core runner:
-# full-scale scenario families plus the 512/1024/1536-radio campus
-# sweep.  Expensive — the 12-building campus alone simulates for a few
+# The full-scale lane CI's full-scale-bench job runs: full-scale
+# scenario families plus the 512/1024/1536-radio campus sweep.
+# Expensive — the 12-building campus alone simulates for a few
 # minutes — so it is not part of bench-smoke.
 bench-full:
 	cp BENCH_merge.json BENCH_baseline.json

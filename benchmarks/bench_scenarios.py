@@ -9,7 +9,7 @@ a flash-crowd wave).  Per-family merge throughput is persisted to
 workload surface is tracked across PRs.
 
 The sweep runs at small scale by default; ``--scale full`` (CI's
-multi-core ``pool-bench`` lane, or ``make bench-full``) runs every
+full-scale bench lane, or ``make bench-full``) runs every
 family at its full registered scale.
 """
 

@@ -7,9 +7,9 @@ prints the paper-vs-measured comparison.
 
 ``--scale`` selects the sweep size: ``small`` (the default, what
 ``make bench-smoke`` runs) keeps the scenario-family sweep at small scale
-and the campus sweep at one 512-radio point; ``full`` (CI's multi-core
-``pool-bench`` lane, and ``make bench-full``) runs full-scale families
-and the 512/1024/1536-radio campus scaling curve.
+and the campus sweep at one 512-radio point; ``full`` (CI's full-scale
+bench lane, and ``make bench-full``) runs full-scale families and the
+512/1024/1536-radio campus scaling curve.
 """
 
 import pytest
@@ -28,7 +28,7 @@ def pytest_addoption(parser):
         default="small",
         help=(
             "benchmark scale: 'full' runs full-scale scenario families "
-            "and the 500-1500 radio campus sweep (CI's multi-core lane)"
+            "and the 500-1500 radio campus sweep (CI's full-scale lane)"
         ),
     )
 
@@ -50,5 +50,5 @@ def small_run():
 
 @pytest.fixture(scope="session")
 def campus_run():
-    """The 4-building (512-radio) campus the hierarchy benches share."""
+    """The 4-building (512-radio) campus the campus bench merges."""
     return get_campus_run()

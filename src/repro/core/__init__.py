@@ -1,6 +1,6 @@
 """The Jigsaw core: synchronization, unification, reconstruction, analyses."""
 
-from .faults import HealthReport, RetryPolicy, ShardHealth, SyncHealth
+from .faults import HealthReport, SyncHealth
 from .link.attempt import AttemptAssembler, TransmissionAttempt
 from .link.exchange import ExchangeAssembler, FrameExchange
 from .passes import MaterializePass, PassContext, PipelinePass, run_passes
@@ -19,8 +19,6 @@ from .unify.unifier import UnificationResult, Unifier
 
 __all__ = [
     "HealthReport",
-    "RetryPolicy",
-    "ShardHealth",
     "SyncHealth",
     "AttemptAssembler",
     "TransmissionAttempt",

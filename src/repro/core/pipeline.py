@@ -35,20 +35,19 @@ run analyses in bounded memory over arbitrarily long traces — the report
 then carries statistics, flows and pass results but empty per-layer
 lists.
 
-``unifier`` may be a plain :class:`Unifier` or a
-:class:`~repro.core.unify.sharded.ShardedUnifier` — anything exposing
-``stream_unify`` — so multi-core machines can parallelize the merge
-without touching the pipeline (passes are fed from the merged stream in
-the parent process either way).
+The merge is one engine with two drivers
+(:mod:`repro.core.unify.unifier`): this pipeline drains the batch
+driver through :meth:`Unifier.stream_unify`, and the service daemon
+(:mod:`repro.service`) steps the live driver record by record — both
+hand their jframes to the same :class:`ReconstructionDrive`.
 
-The bootstrap prepass is likewise channel-sharded
-(:class:`~repro.core.sync.sharded.ShardedBootstrap`, serial or pool via
-``bootstrap_workers``) and fused with ingest: each trace's records are
-consumed exactly once for the examination window — widening rounds feed
-only the delta — and file-backed
-:class:`~repro.jtrace.io.StreamingRadioTrace` inputs decode just that
-prefix before unification replays the buffered read.  Every trace is
-read once per run, not twice.
+Before the merge, a serial prepass
+(:class:`~repro.core.sync.sharded.ShardedBootstrap`) computes the clock
+offsets and is fused with ingest: each trace's records are consumed
+exactly once for the examination window — widening rounds feed only the
+delta — and file-backed :class:`~repro.jtrace.io.StreamingRadioTrace`
+inputs decode just that prefix before unification replays the buffered
+read.  Every trace is read once per run, not twice.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..jtrace.io import RadioTrace, StreamingRadioTrace
-from .faults import HealthReport, ShardHealth
+from .faults import HealthReport
 from .link.attempt import AttemptAssembler, AttemptStats, TransmissionAttempt
 from .link.exchange import ExchangeAssembler, ExchangeStats, FrameExchange
 from .passes import (
@@ -100,9 +99,9 @@ class JigsawReport:
     elapsed_seconds: float
     passes: Dict[str, Any] = field(default_factory=dict)
     materialized: bool = True
-    #: Run-level degradation ledger: ingest decode damage, quarantined
-    #: radios, shard retries/serial fallbacks.  ``health.degraded`` is
-    #: False exactly when the run saw pristine inputs and healthy workers.
+    #: Run-level degradation ledger: ingest decode damage and
+    #: quarantined radios.  ``health.degraded`` is False exactly when the
+    #: run saw pristine inputs.
     health: HealthReport = field(default_factory=HealthReport)
 
     @property
@@ -254,18 +253,10 @@ class JigsawPipeline:
         unifier: Optional[Unifier] = None,
         bootstrap_window_us: int = 1_000_000,
         auto_widen_bootstrap: bool = True,
-        bootstrap_workers: Optional[int] = 1,
     ) -> None:
         self.unifier = unifier or Unifier()
         self.bootstrap_window_us = bootstrap_window_us
         self.auto_widen_bootstrap = auto_widen_bootstrap
-        # The prepass runs channel-sharded with single-read ingest.
-        # Like the merge (which defaults to a plain serial ``Unifier``),
-        # pools are opt-in: ``1`` (default) runs in-process — collection
-        # is a ~100 ms stage on a building trace, far below pool spawn
-        # cost — ``n > 1`` caps a process pool, ``None`` auto-sizes one
-        # to the machine.
-        self.bootstrap_workers = bootstrap_workers
 
     def run(
         self,
@@ -281,8 +272,8 @@ class JigsawPipeline:
         ``clock_groups`` is the infrastructure metadata (radios sharing a
         capture clock) used for cross-channel bridging; pass a precomputed
         ``bootstrap`` to skip that phase (ablations do).  Otherwise the
-        prepass runs through the channel-sharded coordinator with
-        single-read ingest: each trace's records are consumed exactly
+        serial prepass runs with single-read ingest: each trace's
+        records are consumed exactly
         once for the bootstrap window (widening rounds feed only the
         delta), and :class:`~repro.jtrace.io.StreamingRadioTrace` inputs
         decode just that prefix before unification replays the buffer —
@@ -317,14 +308,11 @@ class JigsawPipeline:
         health = HealthReport()
         if bootstrap is None:
             # Built per run so reconfiguring the public attributes
-            # (window, widening, workers) between runs keeps working.
-            coordinator = ShardedBootstrap(
-                max_workers=self.bootstrap_workers,
+            # (window, widening) between runs keeps working.
+            bootstrap = ShardedBootstrap(
                 window_us=self.bootstrap_window_us,
                 auto_widen=self.auto_widen_bootstrap,
-            )
-            bootstrap = coordinator.bootstrap(ordered, clock_groups=clock_groups)
-            health.bootstrap_shards.merge(coordinator.health)
+            ).bootstrap(ordered, clock_groups=clock_groups)
         health.sync.quarantined = dict(bootstrap.quarantined)
         health.sync.islands = [list(i) for i in bootstrap.islands]
         health.sync.rejoined = list(bootstrap.rejoined)
@@ -352,9 +340,6 @@ class JigsawPipeline:
             decode_health = getattr(trace, "decode_health", None)
             if decode_health is not None:
                 health.ingest.merge(decode_health)
-        unify_health = getattr(self.unifier, "health", None)
-        if isinstance(unify_health, ShardHealth):
-            health.unify_shards.merge(unify_health)
 
         context = PassContext(
             bootstrap=bootstrap,

@@ -12,7 +12,7 @@ from .bootstrap import (
     union_shard_payloads,
 )
 from .refs import ReferenceKey, content_key, parse_record_frame, reference_key
-from .sharded import ShardedBootstrap, resolve_pool_workers
+from .sharded import ShardedBootstrap
 from .skew import ClockTrack, DEFAULT_SKEW_ALPHA
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "SyncPartitionError",
     "bootstrap_synchronization",
     "resolve_island_mode",
-    "resolve_pool_workers",
     "union_shard_payloads",
     "ReferenceKey",
     "content_key",

@@ -23,23 +23,22 @@ cannot proceed partitioned pass ``strict=True`` to get a
 Collection architecture
 -----------------------
 
-Reference-set collection is *incremental and shardable*: a
-:class:`_BootstrapShard` consumes records one (or a slice) at a time via
-``feed()``/``feed_slice()`` and surrenders its accumulated sets from
-``finish()``.  Because a frame on channel 1 is never heard by a radio
-parked on channel 11, shards split cleanly by channel; the union of shard
-payloads — members are disjoint per radio, arrival order is recorded as
-absolute ``(trace position, record index)`` pairs — reproduces the
-single-threaded collection exactly, in any merge order.
-:mod:`repro.core.sync.sharded` provides the coordinator
-(:class:`~repro.core.sync.sharded.ShardedBootstrap`) that runs shards
-serially or on a process pool and overlaps collection with trace ingest.
+Reference-set collection is *incremental*: a :class:`_BootstrapShard`
+consumes records one (or a slice) at a time via ``feed()``/``feed_slice()``
+and surrenders its accumulated sets from ``finish()``.  Arrival order is
+recorded as absolute ``(trace position, record index)`` pairs, so the
+union of payloads collected over any partition of the traces
+(:func:`union_shard_payloads`) reproduces the single collection exactly,
+in any merge order.  :mod:`repro.core.sync.sharded` provides the
+pipeline's prepass (:class:`~repro.core.sync.sharded.ShardedBootstrap`),
+which feeds one collector incrementally as the window widens and
+overlaps collection with trace ingest.
 
 Every downstream step (:func:`_select_covering_family`,
 :func:`_bfs_offsets`) is deterministic given the set *values*: tie-breaks
 between equal-size reference sets use the recorded arrival order — never
-dict insertion order — so serial, sharded and pool execution produce
-bit-identical offsets.
+dict insertion order — so the reference and the incremental prepass
+produce bit-identical offsets.
 """
 
 from __future__ import annotations
@@ -167,7 +166,7 @@ class BootstrapResult:
 
 
 class _BootstrapShard:
-    """Incremental reference-set collector for one channel shard.
+    """Incremental reference-set collector for a set of traces.
 
     Consumes records via :meth:`feed` (or the batch fast path
     :meth:`feed_slice`) and accumulates ``E_k`` member sets keyed by
@@ -213,9 +212,8 @@ class _BootstrapShard:
         *owning trace's* radio — the attribution the merge engine also
         uses — not the record's own field, so a mislabeled record cannot
         smuggle a foreign radio into the offset graph.  ``index_base``
-        re-anchors a shipped sub-slice at its absolute record index
-        (pool workers receive ``records[lo:hi]`` as a fresh list
-        starting at 0).
+        re-anchors a sub-slice at its absolute record index (``feed``
+        passes a one-record tuple).
         """
         sets = self._sets
         order = self._order
@@ -393,10 +391,10 @@ def bootstrap_synchronization(
     auto-widen round but gained references when the window grew are
     reported in ``rejoined``.
 
-    This is the reference implementation the channel-sharded coordinator
+    This is the reference implementation the pipeline's prepass
     (:class:`~repro.core.sync.sharded.ShardedBootstrap`) is held
-    bit-identical to; prefer the coordinator for large fleets — it makes
-    a single pass over each trace even when the window widens.
+    bit-identical to; prefer the prepass for large fleets — it makes a
+    single pass over each trace even when the window widens.
     """
     radios = [trace.radio_id for trace in traces]
     if island_mode is None:

@@ -1,8 +1,6 @@
 """Unification: merging all traces into a single jframe timeline."""
 
-from .hierarchy import DEFAULT_FANOUT, MergeTree, ShardLeaf, ShardPlan
 from .jframe import Instance, JFrame, JFrameKind
-from .sharded import ShardedUnifier
 from .unifier import (
     DEFAULT_RESYNC_THRESHOLD_US,
     DEFAULT_SEARCH_WINDOW_US,
@@ -18,13 +16,8 @@ __all__ = [
     "Instance",
     "JFrame",
     "JFrameKind",
-    "DEFAULT_FANOUT",
     "DEFAULT_RESYNC_THRESHOLD_US",
     "DEFAULT_SEARCH_WINDOW_US",
-    "MergeTree",
-    "ShardLeaf",
-    "ShardPlan",
-    "ShardedUnifier",
     "UnificationResult",
     "Unifier",
     "UnifyStats",

@@ -14,31 +14,35 @@ decisions in O(n log n) — each record is pushed and popped exactly once —
 satisfying the paper's requirement that merging "execute faster than
 real-time ... in a single pass over the data".
 
-Architecture (streaming + sharding)
------------------------------------
+Architecture: one engine, two drivers
+-------------------------------------
 
 Content keys, open-group queues and clock tracks are all channel-local: a
 frame on channel 1 can never group with — or resynchronize against — a
-record captured on channel 11.  The merge core therefore runs as one
-:class:`_MergeEngine` per *channel shard* (traces partitioned by the
-channels their records occupy), and the per-shard jframe streams are
-k-way merged by timestamp:
+record captured on channel 11.  :func:`partition_traces` therefore splits
+the traces into independent *shards* (channel components, further split
+by building when every trace carries a ``building_id`` stamp), and one
+:class:`_MergeEngine` merges each shard.  The engine owns the single
+placement routine (:meth:`_MergeEngine._place`) and finalization; two
+drivers feed it records in the same order:
 
-* :meth:`Unifier.iter_unify` / :meth:`Unifier.stream_unify` — the
-  streaming API: a generator of globally time-ordered jframes.  Inside a
-  shard, finalization lags arrival by at most the search window, so a
-  small bounded reorder heap (rather than an end-of-run sort over every
-  jframe) yields incrementally ordered output.
-* :meth:`Unifier.unify` — the batch API, now a thin wrapper that drains
-  the stream into a :class:`UnificationResult`.
-* :class:`repro.core.unify.sharded.ShardedUnifier` — the front-end that
-  exposes the shard structure explicitly and can merge shards on a
-  process pool for multi-core machines.
+* the **batch driver**, :meth:`_MergeEngine.run`, behind
+  :meth:`Unifier.stream_unify` — a generator pulling records through
+  per-trace cursors.  Inside a shard, finalization lags arrival by at
+  most the search window, so a small bounded reorder heap (rather than
+  an end-of-run sort) yields incrementally ordered output, and
+  :func:`merge_shard_streams` k-way merges the shard streams by
+  timestamp.  :meth:`Unifier.unify` drains the stream into a
+  :class:`UnificationResult`;
+* the **live driver**, :class:`LiveMergeShard`, used by the service
+  daemon — the same heap held in plain attributes, stepped one record
+  at a time so it pickles into checkpoints.
 
-Because every execution mode runs the same engine over the same shards in
-the same deterministic order, batch, streaming, serial-sharded and
-parallel-sharded unification produce jframe-for-jframe identical output
-(``tests/test_streaming_equivalence.py`` holds this property).
+Everything runs serially in one process: the merge is a single pass,
+and the shards are a locality structure, not a parallelism one.  Batch,
+streaming and live unification produce jframe-for-jframe identical
+output (``tests/test_streaming_equivalence.py`` and
+``tests/test_service_parity.py`` hold this property).
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ from typing import (
 )
 
 from ...dot11.address import MacAddress
+from ...dot11.frame import Frame
 from ...dot11.serialize import transmitter_from_corrupt_bytes
 from ...jtrace.io import RadioTrace
 from ...jtrace.records import RecordKind, TraceRecord
@@ -76,6 +81,9 @@ DEFAULT_CORRUPT_ATTACH_US = 120.0
 DEFAULT_PHY_ATTACH_US = 60.0
 
 _INF = float("inf")
+_KIND_VALID = RecordKind.VALID
+_KIND_CORRUPT = RecordKind.CORRUPT
+_new_instance = Instance.__new__
 
 
 @dataclass
@@ -130,7 +138,6 @@ class _Group:
         "rep_frame",
         "transmitter",
         "radios",
-        "is_reference",
     )
 
     def __init__(
@@ -139,6 +146,7 @@ class _Group:
         channel: int,
         key: Optional[ReferenceKey],
         rep_record: Optional[TraceRecord],
+        rep_frame: Optional[Frame],
         transmitter: Optional[MacAddress],
     ) -> None:
         self.first_universal = instance.universal_us
@@ -146,18 +154,13 @@ class _Group:
         self.key = key
         self.instances = [instance]
         self.rep_record = rep_record
-        self.rep_frame = None
+        self.rep_frame = rep_frame
         self.transmitter = transmitter
         self.radios = {instance.radio_id}
-        self.is_reference = False
-
-    def add(self, instance: Instance) -> None:
-        self.instances.append(instance)
-        self.radios.add(instance.radio_id)
 
 
 def trace_locality(trace: RadioTrace) -> Optional[int]:
-    """The trace's locality key for hierarchical sharding.
+    """The trace's locality key for merge sharding.
 
     Campus-scale captures stamp each trace with the building its radio is
     mounted in (``building_id`` — written by the simulator's campus
@@ -184,10 +187,9 @@ def partition_traces(
     locality key the whole input falls back to channel-only sharding, so
     legacy inputs — and mixed fleets where the stamp cannot be trusted —
     behave exactly as before.  Shards are ordered by (locality, smallest
-    channel), one deterministic global order every execution mode —
-    serial, pool, merge tree, live daemon — enumerates identically; with
-    a single locality this reduces to the historical smallest-channel
-    order.
+    channel), one deterministic global order the batch and live drivers
+    enumerate identically; with a single locality this reduces to the
+    historical smallest-channel order.
     """
     keys = [locality(t) for t in traces]
     if traces and all(k is not None for k in keys):
@@ -293,21 +295,25 @@ class _TraceCursor:
 
 
 class _MergeEngine:
-    """Streams one channel shard's records into time-ordered jframes.
+    """Merges one shard's records into time-ordered jframes.
 
-    This is the seed single-heap merge algorithm restricted to one shard,
-    restructured as a generator: groups are finalized when the merge
-    clock passes their search-window deadline and emitted through a small
-    reorder heap once no later-finalized group can precede them.  The
-    emission watermark trails the merge clock by twice the search window,
-    which dominates both the window lag itself and any jitter introduced
-    by resynchronization corrections (microseconds against a 10 ms
-    window).
+    The engine owns the open-group state, the clock tracks and the one
+    placement routine, :meth:`_place`.  Two drivers feed it records in
+    the same order:
 
-    Synchronized streaming traces are consumed *incrementally* through
-    :class:`_TraceCursor`: the heap pulls the next record (and, behind
-    it, the next decoded batch) only as the merge clock reaches it, so
-    decode and merge overlap instead of serializing.
+    * :meth:`run`, the batch driver: a generator that pulls records
+      through :class:`_TraceCursor` heaps as the merge clock reaches
+      them, so decode and merge overlap instead of serializing;
+    * :class:`LiveMergeShard`, the live driver: the same heap held in
+      plain attributes and stepped one record at a time, so it pickles
+      into service checkpoints.
+
+    Groups are finalized when the merge clock passes their search-window
+    deadline and emitted through a small reorder heap once no
+    later-finalized group can precede them.  The emission watermark
+    trails the merge clock by twice the search window plus the larger
+    attachment window, which dominates both the window lag itself and
+    any jitter introduced by resynchronization corrections.
     """
 
     def __init__(
@@ -316,9 +322,7 @@ class _MergeEngine:
         traces: Sequence[RadioTrace],
         bootstrap: BootstrapResult,
     ) -> None:
-        self.unifier = unifier
-        self.stats = UnifyStats()
-        self.tracks: Dict[int, ClockTrack] = {}
+        self._init_state(unifier)
         self._cursors: Dict[int, _TraceCursor] = {}
         offsets = bootstrap.offsets_us
         for trace in traces:
@@ -338,55 +342,60 @@ class _MergeEngine:
                 # count as engine input like they always did.
                 displaced.counted = True
                 self.stats.records_in += displaced.drained_length()
-            self.tracks[trace.radio_id] = ClockTrack(
-                radio_id=trace.radio_id,
-                offset_us=offset,
-                alpha=unifier.skew_alpha,
-                compensate_skew=unifier.compensate_skew,
-            )
+            self._add_track(trace.radio_id, offset)
             cursor = _TraceCursor(trace)
             if cursor.counted:
                 self.stats.records_in += len(cursor.buffer)
             self._cursors[trace.radio_id] = cursor
+
+    def _init_state(self, unifier: "Unifier") -> None:
+        """The merge state both drivers share (everything but the heap)."""
+        self.unifier = unifier
+        self.stats = UnifyStats()
+        self.tracks: Dict[int, ClockTrack] = {}
         # Open-group state (channel-local by construction of the shard).
         self.open_by_key: Dict[ReferenceKey, _Group] = {}
         self.open_by_channel: Dict[int, deque] = defaultdict(deque)
         self.open_order: deque = deque()
         #: Emission watermark: every jframe with ``timestamp_us`` at or
-        #: below this has been yielded.  Advances with the reorder-heap
+        #: below this has been emitted.  Advances with the reorder-heap
         #: drain; ``inf`` once the shard is fully drained.
         self.watermark_us: float = -_INF
+        # Emission lag: a future-finalized group's timestamp can precede
+        # the merge clock by (search window + attachment window + resync
+        # jitter).  The attachment windows enter explicitly so the bound
+        # holds even when the search window is configured smaller than
+        # them; the extra search window of slack dominates resync
+        # corrections (instance-gap scale, which itself scales with the
+        # window).
+        self._emit_lag = 2.0 * unifier.search_window_us + max(
+            unifier.corrupt_attach_us, unifier.phy_attach_us
+        )
+        # Placement thresholds, bound once: _place reads them per record.
+        self._gap_limit = unifier.instance_gap_us
+        self._corrupt_attach = unifier.corrupt_attach_us
+        self._phy_attach = unifier.phy_attach_us
 
-    # --- the merge hot loop ------------------------------------------------
+    def _add_track(self, radio_id: int, offset_us: float) -> None:
+        unifier = self.unifier
+        self.tracks[radio_id] = ClockTrack(
+            radio_id=radio_id,
+            offset_us=offset_us,
+            alpha=unifier.skew_alpha,
+            compensate_skew=unifier.compensate_skew,
+        )
+
+    # --- the batch driver --------------------------------------------------
 
     def run(self) -> Iterator[JFrame]:
         """Yield this shard's jframes in (timestamp, finalization) order."""
-        unifier = self.unifier
         tracks = self.tracks
         cursors = self._cursors
         stats = self.stats
-        search_window = unifier.search_window_us
-        gap_limit = unifier.instance_gap_us
-        corrupt_attach = unifier.corrupt_attach_us
-        phy_attach = unifier.phy_attach_us
-        # Emission watermark: a future-finalized group's timestamp can
-        # precede the merge clock by (search window + attachment window +
-        # resync jitter).  The attachment windows enter explicitly so the
-        # bound holds even when the search window is configured smaller
-        # than them; the extra search window of slack dominates resync
-        # corrections (instance-gap scale, which itself scales with the
-        # window).
-        emit_lag = 2.0 * search_window + max(corrupt_attach, phy_attach)
-
-        open_by_key = self.open_by_key
-        open_by_channel = self.open_by_channel
-        open_order = self.open_order
+        search_window = self.unifier.search_window_us
+        emit_lag = self._emit_lag
         finalize_stale = self._finalize_stale
-        find_attachable = self._find_attachable
-        parse_frame = parse_record_frame
-        parse_cache_get = _PARSE_CACHE.get
-        kind_valid = RecordKind.VALID
-        kind_corrupt = RecordKind.CORRUPT
+        place = self._place
         heappush, heappop = heapq.heappush, heapq.heappop
 
         # One entry per radio: (est universal, tiebreak, radio, record,
@@ -423,7 +432,6 @@ class _MergeEngine:
         #: Merge clock at which the oldest open group goes stale.
         oldest_deadline = _INF
 
-        inst_new = Instance.__new__
         while heap:
             est, _, radio_id, record, idx, gen, track, cursor = heappop(heap)
             # _TraceCursor.get, inlined: one attribute walk per record
@@ -471,25 +479,6 @@ class _MergeEngine:
             else:
                 universal = track.universal_us(record.timestamp_us)
 
-            kind = record.kind
-            if kind is kind_valid:
-                # parse_record_frame's hit path, inlined: a valid record
-                # always satisfies its kind/snap preconditions, so a bare
-                # cache probe replaces the call for the common repeat
-                # (control frames and duplicate receptions).
-                cached = parse_cache_get((record.snap, record.frame_len), False)
-                frame = cached if cached is not False else parse_frame(record)
-            else:
-                frame = None
-            # Instance(...), with the dataclass-__init__ call layer
-            # peeled off: five slot stores per record.
-            instance = inst_new(Instance)
-            instance.radio_id = radio_id
-            instance.local_us = record.timestamp_us
-            instance.universal_us = universal
-            instance.record = record
-            instance.frame = frame
-
             if universal > oldest_deadline:
                 oldest_deadline = finalize_stale(universal, reorder)
                 bound = universal - emit_lag
@@ -498,130 +487,130 @@ class _MergeEngine:
                 while reorder and reorder[0][0] <= bound:
                     yield heappop(reorder)[2]
 
-            # --- placement (inlined: once per record) ---------------------
-            channel = record.channel
-            if kind is kind_valid:
-                key = (channel, record.frame_len, record.fcs, record.snap)
-                group = open_by_key.get(key)
-                if (
-                    group is not None
-                    and radio_id not in group.radios
-                    and universal - group.first_universal <= gap_limit
-                ):
-                    group.instances.append(instance)
-                    group.radios.add(radio_id)
-                    continue
-                transmitter = None
-                if frame is not None:
-                    # CTS-to-self carries the sender in RA; a plain
-                    # receiver cannot know which it is, so RA doubles as
-                    # the hint.
-                    transmitter = frame.transmitter or frame.addr1
-                # A valid capture may complete a group opened by a corrupt
-                # or PHY-error observation of the same transmission.
-                upgrade = find_attachable(
-                    instance, open_by_channel[channel],
-                    corrupt_attach, need_headless=True,
-                )
-                if upgrade is not None:
-                    upgrade.add(instance)
-                    upgrade.key = key
-                    upgrade.rep_record = record
-                    upgrade.rep_frame = frame
-                    upgrade.transmitter = transmitter
-                    open_by_key[key] = upgrade
-                    continue
-                group = _Group(instance, channel, key, record, transmitter)
-                group.rep_frame = frame
-                open_by_key[key] = group
-            elif kind is kind_corrupt:
-                transmitter = transmitter_from_corrupt_bytes(record.snap)
-                existing = find_attachable(
-                    instance, open_by_channel[channel],
-                    corrupt_attach, transmitter=transmitter,
-                )
-                if existing is not None:
-                    existing.instances.append(instance)
-                    existing.radios.add(radio_id)
-                    continue
-                group = _Group(instance, channel, None, None, transmitter)
-            else:  # PHY_ERROR
-                # _find_attachable, inlined for its hottest caller (PHY
-                # errors are half the fleet's records): the transmitter
-                # and headless filters are no-ops here, so the body is
-                # just the windowed best-gap scan.  Keep semantics in
-                # lockstep with _find_attachable.
-                best = None
-                best_gap = phy_attach
-                for g in reversed(open_by_channel[channel]):
-                    gap = universal - g.first_universal
-                    if gap > phy_attach:
-                        break  # creation order: older only further away
-                    if gap < 0.0:
-                        gap = -gap
-                        if gap > phy_attach:
-                            continue
-                    if radio_id in g.radios:
-                        continue
-                    if gap <= best_gap:
-                        best = g
-                        best_gap = gap
-                if best is not None:
-                    best.instances.append(instance)
-                    best.radios.add(radio_id)
-                    continue
-                group = _Group(instance, channel, None, None, None)
-
-            open_by_channel[channel].append(group)
-            open_order.append(group)
-            if oldest_deadline is _INF:
-                oldest_deadline = group.first_universal + search_window
+            if place(radio_id, record, universal) and oldest_deadline == _INF:
+                oldest_deadline = universal + search_window
 
         self._finalize_stale(_INF, reorder)
         while reorder:
             yield heappop(reorder)[2]
         self.watermark_us = _INF
 
-    # --- placement helpers -------------------------------------------------
+    # --- placement ---------------------------------------------------------
 
-    def _find_attachable(
-        self,
-        instance: Instance,
-        channel_groups: deque,
-        window_us: float,
-        transmitter: Optional[MacAddress] = None,
-        need_headless: bool = False,
-    ) -> Optional[_Group]:
-        """Scan open groups on this channel for a time/transmitter match.
+    def _place(
+        self, radio_id: int, record: TraceRecord, universal: float
+    ) -> bool:
+        """Put one record's instance into an open group, or open one.
 
-        Corrupt captures "simply match on the transmitter's address field"
-        when it is readable; address-less damage falls back to temporal
-        proximity.  ``need_headless`` restricts the search to groups without
-        a valid representative (used when a valid capture adopts orphans).
+        Valid captures join the open group with the same content key.
+        Failing that, every kind scans the open groups on its channel
+        for the nearest one within its attachment window: corrupt
+        captures "simply match on the transmitter's address field" when
+        it is readable and fall back to temporal proximity; PHY errors
+        match on proximity alone; a valid capture adopts only a
+        headless group (one opened by a corrupt or PHY-error
+        observation of the same transmission).  Returns True when the
+        record opened a new group, so the driver can arm the staleness
+        deadline.
         """
+        kind = record.kind
+        if kind is _KIND_VALID:
+            # parse_record_frame's hit path, inlined: a valid record
+            # always satisfies its kind/snap preconditions, so a bare
+            # cache probe replaces the call for the common repeat
+            # (control frames and duplicate receptions).
+            frame = _PARSE_CACHE.get((record.snap, record.frame_len), False)
+            if frame is False:
+                frame = parse_record_frame(record)
+        else:
+            frame = None
+        # Instance(...), with the dataclass-__init__ call layer peeled
+        # off: five slot stores per record.
+        instance = _new_instance(Instance)
+        instance.radio_id = radio_id
+        instance.local_us = record.timestamp_us
+        instance.universal_us = universal
+        instance.record = record
+        instance.frame = frame
+
+        channel = record.channel
+        if kind is _KIND_VALID:
+            key: Optional[ReferenceKey] = (
+                channel, record.frame_len, record.fcs, record.snap
+            )
+            group = self.open_by_key.get(key)
+            if (
+                group is not None
+                and radio_id not in group.radios
+                and universal - group.first_universal <= self._gap_limit
+            ):
+                group.instances.append(instance)
+                group.radios.add(radio_id)
+                return False
+            # CTS-to-self carries the sender in RA; a plain receiver
+            # cannot know which it is, so RA doubles as the hint.
+            transmitter = (
+                (frame.transmitter or frame.addr1)
+                if frame is not None else None
+            )
+            window = self._corrupt_attach
+            match = None
+        elif kind is _KIND_CORRUPT:
+            key = None
+            transmitter = match = transmitter_from_corrupt_bytes(record.snap)
+            window = self._corrupt_attach
+        else:  # PHY_ERROR
+            key = transmitter = match = None
+            window = self._phy_attach
+
+        groups = self.open_by_channel[channel]
         best: Optional[_Group] = None
-        best_gap = window_us
-        universal = instance.universal_us
-        radio_id = instance.radio_id
-        for group in reversed(channel_groups):
-            gap = universal - group.first_universal
-            if gap > window_us:
-                break  # deque is in creation order; older ones only further
+        best_gap = window
+        for candidate in reversed(groups):
+            gap = universal - candidate.first_universal
+            if gap > window:
+                break  # creation order: older ones only further away
             if gap < 0.0:
                 gap = -gap
-                if gap > window_us:
+                if gap > window:
                     continue
-            if radio_id in group.radios:
+            if radio_id in candidate.radios:
                 continue
-            if need_headless and group.rep_record is not None:
+            if key is not None and candidate.rep_record is not None:
                 continue
-            if transmitter is not None and group.transmitter is not None:
-                if transmitter != group.transmitter:
-                    continue
+            if (
+                match is not None
+                and candidate.transmitter is not None
+                and match != candidate.transmitter
+            ):
+                continue
             if gap <= best_gap:
-                best = group
+                best = candidate
                 best_gap = gap
-        return best
+
+        if best is not None:
+            best.instances.append(instance)
+            best.radios.add(radio_id)
+            if key is not None:
+                best.key = key
+                best.rep_record = record
+                best.rep_frame = frame
+                best.transmitter = transmitter
+                self.open_by_key[key] = best
+            return False
+        group = _Group(
+            instance,
+            channel,
+            key,
+            record if key is not None else None,
+            frame,
+            transmitter,
+        )
+        if key is not None:
+            self.open_by_key[key] = group
+        groups.append(group)
+        self.open_order.append(group)
+        return True
 
     # --- finalization ------------------------------------------------------
 
@@ -633,7 +622,7 @@ class _MergeEngine:
         """Finalize groups older than the search window.
 
         Returns the merge-clock deadline at which the (new) oldest open
-        group goes stale, so the hot loop can gate on a float compare.
+        group goes stale, so the drivers can gate on a float compare.
         """
         open_order = self.open_order
         open_by_channel = self.open_by_channel
@@ -756,14 +745,16 @@ class _MergeEngine:
 
 
 class LiveMergeShard(_MergeEngine):
-    """A checkpointable, record-at-a-time variant of the shard merge.
+    """The live driver: the shard merge, stepped one record at a time.
 
-    The batch :class:`_MergeEngine` is a generator pulling records
-    through trace cursors — its continuation state (the suspended frame,
-    the heap's cursor references) cannot be serialized.  This subclass
-    holds the *same* merge state in plain attributes and is driven one
-    record at a time from outside, so the whole object pickles and a
-    restored instance continues bit-identically.
+    The batch driver (:meth:`_MergeEngine.run`) is a generator pulling
+    records through trace cursors — its continuation state (the
+    suspended frame, the heap's cursor references) cannot be serialized.
+    This driver holds the heap in plain attributes and is stepped from
+    outside, so the whole object pickles and a restored instance
+    continues bit-identically.  Placement and finalization are the
+    engine's own; this class adds only the drive bookkeeping and the
+    emit gate.
 
     The drive protocol is a **blocking-successor discipline**: after the
     engine pops a radio's record off the heap, it demands that radio's
@@ -785,7 +776,7 @@ class LiveMergeShard(_MergeEngine):
     Heap entries carry only scalars (estimate, push counter, radio id) —
     records and track generations ride in side tables keyed by radio —
     so a pickled engine rebinds nothing on restore.  The push counter
-    replicates the batch engine's tie-break exactly: under the
+    replicates the batch driver's tie-break exactly: under the
     blocking-successor discipline pushes happen in the same order as the
     batch hot loop's (initial records in trace order, then each popped
     radio's successor immediately after its pop).
@@ -797,26 +788,10 @@ class LiveMergeShard(_MergeEngine):
         radio_ids: Sequence[int],
         offsets_us: Dict[int, float],
     ) -> None:
-        # Deliberately does NOT call _MergeEngine.__init__ (no traces to
-        # cursor); only the open-group/finalization state is shared.
-        self.unifier = unifier
-        self.stats = UnifyStats()
-        self.tracks = {}
+        self._init_state(unifier)
         self.radio_ids = list(radio_ids)
         for radio_id in self.radio_ids:
-            self.tracks[radio_id] = ClockTrack(
-                radio_id=radio_id,
-                offset_us=offsets_us[radio_id],
-                alpha=unifier.skew_alpha,
-                compensate_skew=unifier.compensate_skew,
-            )
-        self.open_by_key = {}
-        self.open_by_channel = defaultdict(deque)
-        self.open_order = deque()
-        self.watermark_us = -_INF
-        self._emit_lag = 2.0 * unifier.search_window_us + max(
-            unifier.corrupt_attach_us, unifier.phy_attach_us
-        )
+            self._add_track(radio_id, offsets_us[radio_id])
         #: (est universal, push counter, radio id); records/generations
         #: ride in the side tables below so entries stay picklable.
         self._heap: List[Tuple[float, int, int]] = []
@@ -832,7 +807,6 @@ class LiveMergeShard(_MergeEngine):
         self._done: Dict[int, bool] = {}
         self._reorder: List[Tuple[int, int, JFrame]] = []
         self._oldest_deadline = _INF
-        self._finished = False
 
     # --- drive protocol ----------------------------------------------------
 
@@ -882,10 +856,10 @@ class LiveMergeShard(_MergeEngine):
 
         A step either pops the earliest pending record (and then demands
         its radio's successor — call :meth:`supply` before stepping
-        again) or, once the successor is in, processes the popped record
-        through grouping/finalization.  Mirrors the batch hot loop's
-        sequencing exactly: the successor's heap estimate is computed
-        *before* the popped record can trigger resynchronization.
+        again) or, once the successor is in, places the popped record.
+        Mirrors the batch driver's sequencing exactly: the successor's
+        heap estimate is computed *before* the popped record can trigger
+        resynchronization.
         """
         if self.needed() is not None:
             raise RuntimeError(
@@ -904,115 +878,44 @@ class LiveMergeShard(_MergeEngine):
             # Stream already ended: nothing to demand, process now.
         est, radio_id, record, gen = self._current
         self._current = None
-        return self._process(est, radio_id, record, gen)
-
-    def finish(self) -> List[JFrame]:
-        """Finalize every open group and drain the reorder heap."""
-        if not self.exhausted:
-            raise RuntimeError("finish() before the shard drained")
-        self._finished = True
-        self._finalize_stale(_INF, self._reorder)
-        out: List[JFrame] = []
-        while self._reorder:
-            out.append(heapq.heappop(self._reorder)[2])
-        self.watermark_us = _INF
-        return out
-
-    # --- one record through grouping (batch hot-loop semantics) ------------
-
-    def _process(
-        self, est: float, radio_id: int, record: TraceRecord, gen: int
-    ) -> List[JFrame]:
-        unifier = self.unifier
         track = self.tracks[radio_id]
         if gen == track.generation:
             universal = est
         else:
             universal = track.universal_us(record.timestamp_us)
 
-        kind = record.kind
-        frame = parse_record_frame(record) if kind is RecordKind.VALID else None
-        instance = Instance(
-            radio_id=radio_id,
-            local_us=record.timestamp_us,
-            universal_us=universal,
-            record=record,
-            frame=frame,
-        )
-
+        # The emit gate: finalize stale groups, release what the
+        # watermark passed.
         emitted: List[JFrame] = []
         if universal > self._oldest_deadline:
-            self._oldest_deadline = self._finalize_stale(
-                universal, self._reorder
-            )
+            reorder = self._reorder
+            self._oldest_deadline = self._finalize_stale(universal, reorder)
             bound = universal - self._emit_lag
             if bound > self.watermark_us:
                 self.watermark_us = bound
-            reorder = self._reorder
             while reorder and reorder[0][0] <= bound:
                 emitted.append(heapq.heappop(reorder)[2])
 
-        channel = record.channel
-        if kind is RecordKind.VALID:
-            key = (channel, record.frame_len, record.fcs, record.snap)
-            group = self.open_by_key.get(key)
-            if (
-                group is not None
-                and radio_id not in group.radios
-                and universal - group.first_universal <= unifier.instance_gap_us
-            ):
-                group.instances.append(instance)
-                group.radios.add(radio_id)
-                return emitted
-            transmitter = None
-            if frame is not None:
-                transmitter = frame.transmitter or frame.addr1
-            upgrade = self._find_attachable(
-                instance, self.open_by_channel[channel],
-                unifier.corrupt_attach_us, need_headless=True,
-            )
-            if upgrade is not None:
-                upgrade.add(instance)
-                upgrade.key = key
-                upgrade.rep_record = record
-                upgrade.rep_frame = frame
-                upgrade.transmitter = transmitter
-                self.open_by_key[key] = upgrade
-                return emitted
-            group = _Group(instance, channel, key, record, transmitter)
-            group.rep_frame = frame
-            self.open_by_key[key] = group
-        elif kind is RecordKind.CORRUPT:
-            transmitter = transmitter_from_corrupt_bytes(record.snap)
-            existing = self._find_attachable(
-                instance, self.open_by_channel[channel],
-                unifier.corrupt_attach_us, transmitter=transmitter,
-            )
-            if existing is not None:
-                existing.instances.append(instance)
-                existing.radios.add(radio_id)
-                return emitted
-            group = _Group(instance, channel, None, None, transmitter)
-        else:  # PHY_ERROR
-            best = self._find_attachable(
-                instance, self.open_by_channel[channel], unifier.phy_attach_us
-            )
-            if best is not None:
-                best.instances.append(instance)
-                best.radios.add(radio_id)
-                return emitted
-            group = _Group(instance, channel, None, None, None)
-
-        self.open_by_channel[channel].append(group)
-        self.open_order.append(group)
         # Value (not identity) comparison: a pickle round trip rebuilds
         # the float, and ``is _INF`` would silently stop re-arming the
         # staleness deadline on a restored engine.
-        if self._oldest_deadline == _INF:
-            self._oldest_deadline = (
-                group.first_universal + unifier.search_window_us
-            )
+        if (
+            self._place(radio_id, record, universal)
+            and self._oldest_deadline == _INF
+        ):
+            self._oldest_deadline = universal + self.unifier.search_window_us
         return emitted
+
+    def finish(self) -> List[JFrame]:
+        """Finalize every open group and drain the reorder heap."""
+        if not self.exhausted:
+            raise RuntimeError("finish() before the shard drained")
+        self._finalize_stale(_INF, self._reorder)
+        out: List[JFrame] = []
+        while self._reorder:
+            out.append(heapq.heappop(self._reorder)[2])
+        self.watermark_us = _INF
+        return out
 
 
 class UnifyStream:

@@ -45,7 +45,6 @@ STRICT_TYPED_MODULES = frozenset(
         "repro.core.faults",
         "repro.jtrace.records",
         "repro.core.unify.jframe",
-        "repro.core.unify.sharded",
         "repro.core.sync.sharded",
     }
 )
@@ -539,8 +538,8 @@ class PoolTimeoutRule(Rule):
     """Every future ``.result()`` carries a timeout.
 
     A bare ``result()`` on a future whose worker hung blocks the
-    coordinator forever — exactly the failure ``RetryPolicy`` deadlines
-    exist to bound.  Scoped to modules that import
+    coordinator forever — exactly the failure a per-shard deadline
+    exists to bound.  Scoped to modules that import
     ``concurrent.futures``.
     """
 
@@ -614,7 +613,7 @@ class ErrorPolicyRule(Rule):
                     node,
                     "exception swallowed with no counter or log in a "
                     "health-ledger module; count it on the relevant "
-                    "DecodeHealth/ShardHealth/SyncHealth (or at least log)",
+                    "DecodeHealth/SyncHealth (or at least log)",
                 )
 
 

@@ -7,7 +7,7 @@ prefer an algorithm that can merge traces in a single pass over the data."
 Four checks:
 
 * :func:`run_merge_performance` unifies a building-scale trace through the
-  sharded streaming engine and compares wall-clock merge time against the
+  streaming merge engine and compares wall-clock merge time against the
   simulated trace duration;
 * :func:`run_radio_scaling` repeats the merge over growing subsets of the
   radio fleet — the paper's "scale well as a function of the number of
@@ -15,8 +15,8 @@ Four checks:
   ``BENCH_merge.json``;
 * :func:`run_bootstrap_performance` times the synchronization prepass:
   the serial two-read path (decode everything, then scan the examination
-  window again) against channel-sharded collection with single-read
-  ingest (decode only the window prefix, feed it to the shards as it
+  window again) against incremental collection with single-read ingest
+  (decode only the window prefix, feed it to the collector as it
   streams, replay the buffer into the merge) — the "time before the
   first jframe can be emitted" bottleneck;
 * :func:`run_decode_performance` times file ingest with the scalar
@@ -39,13 +39,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-import os
-
 from ..core.pipeline import JigsawPipeline
 from ..core.sync.bootstrap import BootstrapResult, bootstrap_synchronization
 from ..core.sync.sharded import ShardedBootstrap
-from ..core.unify.hierarchy import MergeTree
-from ..core.unify.sharded import ShardedUnifier
 from ..core.unify.unifier import Unifier, partition_traces
 from ..jtrace.io import (
     open_trace_stream,
@@ -71,10 +67,6 @@ class MergePerformance:
     jframes: int
     n_radios: int = 0
     n_shards: int = 0
-    engine: str = "sharded-serial"
-    #: Pool size the run actually used (0 = serial), from the
-    #: coordinator's post-run ``health.pool_workers`` audit field.
-    pool_workers: int = 0
 
     @property
     def realtime_factor(self) -> float:
@@ -92,8 +84,8 @@ class MergePerformance:
     def format_table(self) -> str:
         return "\n".join(
             [
-                f"engine:            {self.engine} "
-                f"({self.n_radios} radios, {self.n_shards} channel shards)",
+                f"fleet:             {self.n_radios} radios, "
+                f"{self.n_shards} merge shards",
                 f"trace duration:    {self.trace_duration_s:.1f} s simulated",
                 f"merge time:        {self.merge_seconds:.2f} s wall clock",
                 f"records merged:    {self.records:,}",
@@ -106,8 +98,6 @@ class MergePerformance:
 
     def as_dict(self) -> dict:
         return {
-            "engine": self.engine,
-            "pool_workers": self.pool_workers,
             "n_radios": self.n_radios,
             "n_shards": self.n_shards,
             "trace_duration_s": self.trace_duration_s,
@@ -123,26 +113,14 @@ def _measure(
     traces: Sequence,
     duration_us: int,
     clock_groups,
-    max_workers: Optional[int],
-    unifier=None,
     bootstrap: Optional[BootstrapResult] = None,
 ) -> MergePerformance:
-    """Time one merge; the engine label is read back from the coordinator.
-
-    ``unifier`` may be any coordinator with the ``ShardedUnifier``
-    surface (``unify``, ``last_engine``, ``health``) — the hierarchy
-    benchmarks pass a :class:`MergeTree`.  The recorded ``engine`` and
-    ``pool_workers`` are what the run *actually* resolved to, not what
-    ``max_workers`` requested: an explicit pool request still runs
-    serial on a one-core host or a single-shard input, and the
-    trajectory must say so.
-    """
+    """Time one :meth:`Unifier.unify` over ``traces``."""
     if bootstrap is None:
         bootstrap = bootstrap_synchronization(
             traces, clock_groups=clock_groups
         )
-    if unifier is None:
-        unifier = ShardedUnifier(Unifier(), max_workers=max_workers)
+    unifier = Unifier()
     n_shards = len(partition_traces(traces))
     # Isolate the measurement from the caller's heap: the cached building
     # run keeps tens of millions of report objects alive, and letting the
@@ -165,28 +143,22 @@ def _measure(
         jframes=result.stats.jframes,
         n_radios=len(traces),
         n_shards=n_shards,
-        engine=unifier.last_engine,
-        pool_workers=unifier.health.pool_workers,
     )
 
 
-def run_merge_performance(
-    run: ExperimentRun = None, max_workers: Optional[int] = None
-) -> MergePerformance:
-    """Merge the full building trace through the sharded streaming engine."""
+def run_merge_performance(run: ExperimentRun = None) -> MergePerformance:
+    """Merge the full building trace through the streaming engine."""
     run = run or get_building_run()
     return _measure(
         run.artifacts.radio_traces,
         run.duration_us,
         run.artifacts.clock_groups(),
-        max_workers,
     )
 
 
 def run_radio_scaling(
     run: ExperimentRun = None,
     fractions: Sequence[float] = DEFAULT_SCALING_FRACTIONS,
-    max_workers: Optional[int] = None,
 ) -> List[MergePerformance]:
     """Merge growing radio-fleet subsets of one building trace.
 
@@ -208,7 +180,7 @@ def run_radio_scaling(
         ]
         groups = [g for g in groups if len(g) >= 2]
         points.append(
-            _measure(subset, run.duration_us, groups, max_workers)
+            _measure(subset, run.duration_us, groups)
         )
     return points
 
@@ -225,9 +197,10 @@ def run_campus_radio_scaling(
     """Extend the radio-scaling sweep past one building: 500-1500 radios.
 
     Each point unifies a whole campus (4/8/12 buildings of 128 radios)
-    through the hierarchical :class:`MergeTree`, serially — the same
-    execution mode as the single-building sweep points, so the curve is
-    comparable end to end.  The largest campus is simulated once and
+    through :class:`Unifier` — the same engine as the single-building
+    sweep points, so the curve is comparable end to end; the building
+    stamps split the merge into (building, channel) shards.  The
+    largest campus is simulated once and
     sliced (composition makes the slice exact; see
     :func:`repro.sim.campus.campus_subset`).
     """
@@ -240,247 +213,10 @@ def run_campus_radio_scaling(
                 campus.traces,
                 campus.config.duration_us,
                 campus.clock_groups,
-                max_workers=1,
-                unifier=MergeTree(max_workers=1),
                 bootstrap=_campus_bootstrap(campus),
             )
         )
     return points
-
-
-@dataclass
-class PoolScaling:
-    """Worker-count sweep over one campus merge.
-
-    ``points`` records one merge per requested worker count, with the
-    engine the run *resolved to* (``resolve_pool_workers`` caps by
-    ``os.cpu_count()``, so requesting 8 workers on a one-core host runs
-    ``hierarchy-pool2`` at best — the audit trail must show that, not
-    the request).  ``cpu_count`` makes the numbers interpretable when
-    trajectories from different runners are compared.
-    """
-
-    cpu_count: int
-    n_radios: int
-    records: int
-    requested: List[object]
-    points: List[MergePerformance]
-
-    @property
-    def best(self) -> MergePerformance:
-        return min(self.points, key=lambda p: p.merge_seconds)
-
-    @property
-    def best_records_per_second(self) -> float:
-        return self.best.records_per_second
-
-    def format_table(self) -> str:
-        lines = [
-            f"cpu_count:        {self.cpu_count}",
-            f"campus:           {self.n_radios} radios, "
-            f"{self.records:,} records",
-        ]
-        for requested, point in zip(self.requested, self.points):
-            label = "auto" if requested is None else str(requested)
-            lines.append(
-                f"  workers={label:>4s} -> {point.engine:18s} "
-                f"{point.merge_seconds:6.2f} s  "
-                f"{point.records_per_second:>10,.0f} rec/s"
-            )
-        lines.append(
-            f"best:             {self.best.engine} "
-            f"({self.best_records_per_second:,.0f} rec/s)"
-        )
-        return "\n".join(lines)
-
-    def as_dict(self) -> dict:
-        return {
-            "cpu_count": self.cpu_count,
-            "n_radios": self.n_radios,
-            "records": self.records,
-            "points": [
-                {
-                    "requested_workers": (
-                        "auto" if requested is None else requested
-                    ),
-                    **point.as_dict(),
-                }
-                for requested, point in zip(self.requested, self.points)
-            ],
-            "best_engine": self.best.engine,
-            "best_records_per_second": self.best_records_per_second,
-        }
-
-
-def run_pool_scaling(
-    campus=None,
-    n_buildings: int = 4,
-    worker_counts: Optional[Sequence[Optional[int]]] = None,
-) -> PoolScaling:
-    """Sweep pool sizes over one >=500-radio hierarchical merge.
-
-    The default sweep runs serial, each power-of-two pool up to the
-    machine's core count, and auto (``max_workers=None``).  On a
-    one-core host that collapses to serial + auto — both resolve
-    serial, and the recorded engine labels say so; the multi-core CI
-    lane is where the pool rows carry real parallelism.
-    """
-    if campus is None:
-        campus = get_campus_run(n_buildings)
-    cpus = os.cpu_count() or 1
-    if worker_counts is None:
-        worker_counts = [1]
-        width = 2
-        while width <= cpus:
-            worker_counts.append(width)
-            width *= 2
-        worker_counts.append(None)
-    bootstrap = _campus_bootstrap(campus)
-    points = [
-        _measure(
-            campus.traces,
-            campus.config.duration_us,
-            campus.clock_groups,
-            max_workers=requested,
-            unifier=MergeTree(max_workers=requested),
-            bootstrap=bootstrap,
-        )
-        for requested in worker_counts
-    ]
-    return PoolScaling(
-        cpu_count=cpus,
-        n_radios=campus.n_radios,
-        records=campus.n_records,
-        requested=list(worker_counts),
-        points=points,
-    )
-
-
-@dataclass
-class HierarchyPerformance:
-    """Flat-shard versus hierarchical merge on the same campus traces.
-
-    ``flat`` is the pre-hierarchy baseline: the flat
-    :class:`ShardedUnifier` run serially over the *same stamped traces*
-    — the identical (building, channel) leaf partition, merged as one
-    flat shard list instead of through the merge tree — so the two legs
-    differ only in merge structure and are bit-identical by construction
-    (the parity suite's claim; the bench asserts the record/jframe
-    counts).  ``tree_serial`` and ``tree_auto`` run the
-    :class:`MergeTree`; auto resolves to a process pool on multi-core
-    hosts and serial on one core — the recorded engine label is the
-    resolution, not the request.
-    """
-
-    n_buildings: int
-    plan: dict
-    flat: MergePerformance
-    tree_serial: MergePerformance
-    tree_auto: MergePerformance
-
-    @property
-    def best_tree(self) -> MergePerformance:
-        return min(
-            (self.tree_serial, self.tree_auto),
-            key=lambda p: p.merge_seconds,
-        )
-
-    @property
-    def hierarchy_speedup(self) -> float:
-        """Best hierarchical records/s over the flat-shard baseline."""
-        if self.flat.records_per_second == 0:
-            return float("inf")
-        return (
-            self.best_tree.records_per_second / self.flat.records_per_second
-        )
-
-    @property
-    def realtime_factor(self) -> float:
-        return self.best_tree.realtime_factor
-
-    def format_table(self) -> str:
-        def row(label: str, p: MergePerformance) -> str:
-            return (
-                f"  {label:12s} {p.engine:18s} {p.merge_seconds:6.2f} s  "
-                f"{p.records_per_second:>10,.0f} rec/s  "
-                f"({p.realtime_factor:.2f}x real time)"
-            )
-
-        return "\n".join(
-            [
-                f"campus:        {self.n_buildings} buildings, "
-                f"{self.tree_serial.n_radios} radios, "
-                f"{self.tree_serial.records:,} records",
-                f"plan:          {self.plan['leaves']} leaves over "
-                f"{self.plan['localities']} localities, "
-                f"depth {self.plan['depth']}, fanout {self.plan['fanout']}",
-                row("flat-shard:", self.flat),
-                row("tree serial:", self.tree_serial),
-                row("tree auto:", self.tree_auto),
-                f"speedup:       {self.hierarchy_speedup:.2f}x "
-                "(best tree / flat baseline)",
-            ]
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "n_buildings": self.n_buildings,
-            "n_radios": self.tree_serial.n_radios,
-            "records": self.tree_serial.records,
-            "plan": self.plan,
-            "flat": self.flat.as_dict(),
-            "tree_serial": self.tree_serial.as_dict(),
-            "tree_auto": self.tree_auto.as_dict(),
-            "engine": self.best_tree.engine,
-            "records_per_second": self.best_tree.records_per_second,
-            "hierarchy_speedup": self.hierarchy_speedup,
-            "realtime_factor": self.realtime_factor,
-        }
-
-
-def run_hierarchy_performance(
-    campus=None, n_buildings: int = 4, rounds: int = 2
-) -> HierarchyPerformance:
-    """Flat-shard baseline vs hierarchical merge tree on one campus.
-
-    All legs share one bootstrap and run back to back, ``rounds`` times
-    in alternation with the per-leg best kept, so a transient CPU-quota
-    throttle window cannot invert the recorded ratio (the same
-    discipline the decode/bootstrap sections use).
-    """
-    if campus is None:
-        campus = get_campus_run(n_buildings)
-    bootstrap = _campus_bootstrap(campus)
-    plan = MergeTree().plan(campus.traces).describe()
-
-    legs = {
-        "flat": (lambda: ShardedUnifier(max_workers=1), campus.traces),
-        "tree_serial": (lambda: MergeTree(max_workers=1), campus.traces),
-        "tree_auto": (lambda: MergeTree(), campus.traces),
-    }
-    best: dict = {}
-    for _ in range(max(1, rounds)):
-        for label, (factory, traces) in legs.items():
-            point = _measure(
-                traces,
-                campus.config.duration_us,
-                campus.clock_groups,
-                max_workers=None,
-                unifier=factory(),
-                bootstrap=bootstrap,
-            )
-            if (
-                label not in best
-                or point.merge_seconds < best[label].merge_seconds
-            ):
-                best[label] = point
-    return HierarchyPerformance(
-        n_buildings=len(campus.buildings),
-        plan=plan,
-        flat=best["flat"],
-        tree_serial=best["tree_serial"],
-        tree_auto=best["tree_auto"],
-    )
 
 
 @dataclass
@@ -570,7 +306,6 @@ class BootstrapPerformance:
 
 def run_bootstrap_performance(
     run: ExperimentRun = None,
-    max_workers: Optional[int] = None,
     trace_dir: Optional[Path] = None,
 ) -> BootstrapPerformance:
     """Time the bootstrap prepass both ways on the building trace.
@@ -592,7 +327,7 @@ def run_bootstrap_performance(
     run = run or get_building_run()
     traces = run.artifacts.radio_traces
     clock_groups = run.artifacts.clock_groups()
-    coordinator = ShardedBootstrap(max_workers=max_workers)
+    coordinator = ShardedBootstrap()
     # Bootstrap shards by the traces' home channels (metadata only).
     n_shards = len({trace.channel for trace in traces})
 
@@ -612,7 +347,7 @@ def run_bootstrap_performance(
         trace_dir = Path(owned.name)
         write_traces(traces, trace_dir)
     try:
-        unifier = ShardedUnifier(Unifier(), max_workers=max_workers)
+        unifier = Unifier()
 
         # Both legs pin the scalar decode engine: this section isolates
         # the ingest *architecture* (one read vs two, prefix-only window
@@ -647,7 +382,7 @@ def run_bootstrap_performance(
             streams = open_trace_streams(
                 trace_dir, vectorized=False, decode_ahead=0
             )
-            bootstrap = ShardedBootstrap(max_workers=max_workers).bootstrap(
+            bootstrap = ShardedBootstrap().bootstrap(
                 streams, clock_groups=clock_groups
             )
             prepass = time.perf_counter() - started
@@ -791,7 +526,6 @@ class DecodePerformance:
 
 def run_decode_performance(
     run: ExperimentRun = None,
-    max_workers: Optional[int] = None,
     trace_dir: Optional[Path] = None,
 ) -> DecodePerformance:
     """Time file ingest both ways on the building trace.
@@ -800,7 +534,7 @@ def run_decode_performance(
     freshly written, page-cached bytes) and assert record-for-record
     equality as they go, so peak heap stays at two traces instead of
     two fleets.  The end-to-end pair then runs the complete pipeline —
-    bootstrap over streams, sharded merge — with scalar ingest
+    bootstrap over streams, then the merge — with scalar ingest
     (``vectorized=False, decode_ahead=0``: the pre-batching pipeline)
     and with the default batch engine + decode-ahead, asserting
     bit-identical jframes and stats.  Each end-to-end leg runs twice in
@@ -840,12 +574,12 @@ def run_decode_performance(
         finally:
             gc.unfreeze()
 
-        unifier = ShardedUnifier(Unifier(), max_workers=max_workers)
+        unifier = Unifier()
 
         def _pipeline(**ingest) -> tuple:
             started = time.perf_counter()
             streams = open_trace_streams(trace_dir, **ingest)
-            bootstrap = ShardedBootstrap(max_workers=max_workers).bootstrap(
+            bootstrap = ShardedBootstrap().bootstrap(
                 streams, clock_groups=clock_groups
             )
             result = unifier.unify(streams, bootstrap)
@@ -1062,19 +796,13 @@ def main() -> None:
             f"({point.realtime_factor:.2f}x real time)"
         )
     print()
-    print("=== Campus scaling (hierarchical merge, 500+ radios) ===")
+    print("=== Campus scaling (500+ radios) ===")
     for point in run_campus_radio_scaling():
         print(
             f"  {point.n_radios:4d} radios: "
             f"{point.records_per_second:>10,.0f} rec/s  "
-            f"({point.realtime_factor:.2f}x real time)  [{point.engine}]"
+            f"({point.realtime_factor:.2f}x real time)"
         )
-    print()
-    print("=== Hierarchy: flat shards vs pod x channel merge tree ===")
-    print(run_hierarchy_performance().format_table())
-    print()
-    print("=== Pool scaling (worker-count sweep, one campus merge) ===")
-    print(run_pool_scaling().format_table())
     print()
     print("=== Bootstrap prepass: two-read vs single-read sharded ===")
     print(run_bootstrap_performance().format_table())

@@ -12,7 +12,7 @@ Two entry points:
   common run cache (whose fingerprint includes the family name and the
   registry schema version);
 * :func:`run_family_sweep` — per-family merge throughput through the
-  sharded streaming engine, persisted by the benchmark suite to
+  streaming merge engine, persisted by the benchmark suite to
   ``BENCH_merge.json``'s ``scenario_sweep`` section so the workload
   surface the merge is validated against is tracked across PRs.
 """
@@ -67,7 +67,6 @@ def run_family_sweep(
     scale: str = "small",
     seed: int = DEFAULT_SEED,
     families: Optional[Sequence[str]] = None,
-    max_workers: Optional[int] = None,
 ) -> List[FamilySweepPoint]:
     """Merge every registered family's trace; report per-family throughput.
 
@@ -83,7 +82,6 @@ def run_family_sweep(
             run.artifacts.radio_traces,
             run.duration_us,
             run.artifacts.clock_groups(),
-            max_workers,
         )
         points.append(
             FamilySweepPoint(

@@ -47,7 +47,6 @@ from pathlib import Path
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union, cast
 
 from .records import (
-    BATCH_DECODE_AVAILABLE,
     FramedRun,
     FramingHint,
     RecordBatch,
@@ -141,7 +140,7 @@ def _framing_hint_from_meta(
     ``None``; the batch framing scan then runs unassisted, exactly as
     before the index existed.
     """
-    use_batch = BATCH_DECODE_AVAILABLE if vectorized is None else vectorized
+    use_batch = vectorized is None or vectorized
     packed = meta.get("snap_lens_b64")
     if not use_batch or packed is None:
         return None
@@ -567,8 +566,8 @@ def open_trace_stream(
     compressed file exactly once — the bootstrap prepass pulls only its
     examination window before unification picks up the buffer.
 
-    ``vectorized`` selects the decode engine (None = batch when numpy
-    is available); ``decode_ahead`` is how many decoded batches a
+    ``vectorized`` selects the decode engine (None = batch);
+    ``decode_ahead`` is how many decoded batches a
     per-trace reader thread keeps ready ahead of the consumer (None =
     :data:`DECODE_AHEAD_DEPTH` on the batch path when a second CPU is
     available to run the reader, else ``0``; ``0`` disables the thread
@@ -614,9 +613,7 @@ def open_trace_stream(
             framing_hint=framing_hint,
         )
         if decode_ahead is None:
-            batch_engine = (
-                BATCH_DECODE_AVAILABLE if vectorized is None else vectorized
-            )
+            batch_engine = vectorized is None or vectorized
             # Decode-ahead overlaps decompression with the merge only
             # when there is a second core to run it on; on a single-CPU
             # host the reader threads just add scheduling contention.
@@ -813,8 +810,8 @@ def iter_record_batches(
     buffered at a time, so day-long traces decode in constant memory
     instead of materializing the whole decompressed stream.
 
-    ``vectorized=None`` (the default) uses the batch engine when numpy
-    is available: complete records are framed per chunk, their headers
+    ``vectorized=None`` (the default) uses the batch engine: complete
+    records are framed per chunk, their headers
     gathered into one structured array, validated with vectorized
     predicates, and materialized column-wise (see
     :class:`~repro.jtrace.records.FramedRun`).  ``vectorized=False``
@@ -847,14 +844,7 @@ def iter_record_batches(
     policy = ErrorPolicy(policy)
     if health is None:
         health = DecodeHealth()
-    if vectorized is None:
-        use_batch = BATCH_DECODE_AVAILABLE
-    else:
-        use_batch = bool(vectorized)
-        if use_batch and not BATCH_DECODE_AVAILABLE:
-            raise RuntimeError(
-                "vectorized decode requested but numpy is unavailable"
-            )
+    use_batch = vectorized is None or bool(vectorized)
     data_path = Path(data_path)
     strict = policy is ErrorPolicy.STRICT
 

@@ -20,8 +20,8 @@ previous checkpoint intact — the recovery point is always the last
 
 Compatibility policy (documented in ``docs/service.md``): the version
 is bumped whenever any pickled class's layout changes incompatibly;
-``load_checkpoint`` refuses foreign magic, future versions and payloads
-whose CRC or length disagree with the header, raising
+``load_checkpoint`` refuses foreign magic, any version but the current
+one, and payloads whose CRC or length disagree with the header, raising
 :class:`CheckpointError` rather than unpickling garbage.
 """
 
@@ -36,7 +36,10 @@ from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
 CHECKPOINT_MAGIC = b"JGSV"
-CHECKPOINT_VERSION = 1
+#: Version 2 dropped the pool health sections of ``HealthReport``;
+#: a version-1 payload references a class this build no longer has, so
+#: older versions are refused rather than loaded.
+CHECKPOINT_VERSION = 2
 
 _CHECKPOINT_HEADER = struct.Struct("<4sIIQ")
 
@@ -122,6 +125,12 @@ def load_checkpoint(path: Path) -> CheckpointState:
             f"{path}: checkpoint version {version} is newer than this "
             f"build understands ({CHECKPOINT_VERSION}); upgrade before "
             "resuming"
+        )
+    if version < CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{path}: checkpoint version {version} is older than this "
+            f"build can load ({CHECKPOINT_VERSION}); restart the daemon "
+            "from its feed instead of resuming"
         )
     payload = raw[_CHECKPOINT_HEADER.size:]
     if len(payload) != length:

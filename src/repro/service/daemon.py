@@ -11,8 +11,9 @@ so a killed daemon resumes mid-trace **bit-identically**.
 
 Determinism is the load-bearing property, and it rests on three legs:
 
-1. **Blocking-successor merge** — each channel shard runs a
-   :class:`~repro.core.unify.unifier.LiveMergeShard`: after popping a
+1. **Blocking-successor merge** — each merge shard runs a
+   :class:`~repro.core.unify.unifier.LiveMergeShard`, the live driver of
+   the same merge engine the batch pipeline drains: after popping a
    radio's record the engine demands that radio's next record before
    anything else happens, so the processing order is a pure function of
    the per-radio record sequences, never of arrival timing or restart
@@ -219,17 +220,12 @@ class JigsawDaemon:
 
     def _start(self) -> None:
         feed = self.feed
-        coordinator = ShardedBootstrap(
-            max_workers=1,
+        bootstrap = ShardedBootstrap(
             window_us=self.bootstrap_window_us,
             auto_widen=self.auto_widen_bootstrap,
-        )
-        bootstrap = coordinator.bootstrap(
-            feed.traces, clock_groups=feed.clock_groups()
-        )
+        ).bootstrap(feed.traces, clock_groups=feed.clock_groups())
         self._bootstrap = bootstrap
         health = self._health
-        health.bootstrap_shards.merge(coordinator.health)
         health.sync.quarantined = dict(bootstrap.quarantined)
         health.sync.islands = [list(i) for i in bootstrap.islands]
         health.sync.rejoined = list(bootstrap.rejoined)

@@ -12,8 +12,8 @@ exactly the composition of independent single-building simulations:
 * radio ids are offset by a per-building stride (``4 * n_pods``, the
   id space one building's pods can occupy) into disjoint ranges, MAC
   allocators onto disjoint per-building address blocks, and every trace
-  is stamped with its ``building_id`` — the locality key hierarchical
-  sharding partitions on;
+  is stamped with its ``building_id`` — the locality key the merge's
+  (building, channel) sharding partitions on;
 * clock groups are offset the same way.  Buildings share no
   observations and no clocks, so each is its own synchronization
   island; the ``building_id`` stamps switch the bootstrap into

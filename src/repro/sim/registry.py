@@ -354,18 +354,17 @@ REGISTRY.register(
             "building_id stamps on every trace, one synchronization "
             "island per building (the bootstrap covering family elects "
             "a reference radio in each).  The full scale is the "
-            "hierarchical-sharding "
+            "campus merge "
             "benchmark shape — 4 buildings x 32 pods x 4 radios = 512 "
             "monitor radios; override n_buildings for 1024/1536."
         ),
         paper_focus=(
             "Section 4's scaling claim taken past one building: merge "
-            "throughput and shard planning at 500+ radios"
+            "throughput and merge sharding at 500+ radios"
         ),
         expectations=(
-            "partition_traces yields one (building, channel) leaf per "
-            "pair; MergeTree output is bit-identical to ShardedUnifier; "
-            "merge stays faster than real time at 512 radios."
+            "partition_traces yields one (building, channel) shard per "
+            "pair; the merge stays faster than real time at 512 radios."
         ),
         builders={
             # Per-building shapes stay deliberately light: campus runs

@@ -114,34 +114,6 @@ class TestAbsentBaselineSections:
         )
 
 
-class TestHierarchySections:
-    """The campus-scale sections are guarded, not just recorded."""
-
-    def test_hierarchy_and_pool_metrics_are_guarded(self):
-        dotted = {d for d, _ in check_regression.GUARDED_METRICS}
-        assert {
-            "hierarchy.records_per_second",
-            "hierarchy.hierarchy_speedup",
-            "hierarchy.realtime_factor",
-            "pool_scaling.best_records_per_second",
-        } <= dotted
-
-    def test_hierarchy_regression_fails_the_gate(self, tmp_path):
-        current = full_payload()
-        current["hierarchy"]["records_per_second"] = 50.0  # 0.5x baseline
-        assert run_gate(tmp_path, full_payload(), current) == 1
-
-    def test_missing_pool_section_fails_under_require(self, tmp_path):
-        baseline = full_payload()
-        del baseline["pool_scaling"]
-        assert (
-            run_gate(
-                tmp_path, baseline, full_payload(), "--require-sections"
-            )
-            == 1
-        )
-
-
 class TestMissingFiles:
     def test_missing_baseline_file_skips(self, tmp_path):
         cur = write_json(tmp_path / "current.json", full_payload())

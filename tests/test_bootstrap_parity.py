@@ -1,8 +1,8 @@
-"""Parity suite: channel-sharded bootstrap == single-threaded bootstrap.
+"""Parity suite: the pipeline's prepass == the reference bootstrap.
 
-The sharded coordinator (serial and process-pool modes, incremental
-single-read ingest, auto-widen over buffered records) must produce
-offsets *bit-identical* to ``bootstrap_synchronization`` — including the
+:class:`ShardedBootstrap` (incremental single-read ingest, auto-widen
+over buffered records) must produce offsets *bit-identical* to
+``bootstrap_synchronization`` — including the
 auto-widen partition path and the strict ``SyncPartitionError`` failure
 mode the paper hits on pod reduction (Section 6) — and the covering
 family must not depend on the order reference sets were collected or
@@ -20,7 +20,7 @@ from repro.core.sync.bootstrap import (
     bootstrap_synchronization,
     union_shard_payloads,
 )
-from repro.core.sync.sharded import ShardedBootstrap, resolve_pool_workers
+from repro.core.sync.sharded import ShardedBootstrap
 from repro.dot11.address import MacAddress
 from repro.dot11.frame import make_data
 from repro.dot11.serialize import frame_to_bytes
@@ -62,7 +62,7 @@ def result_fingerprint(result):
 
 
 def assert_parity(traces, clock_groups=(), **kwargs):
-    """Serial reference, sharded-serial and sharded-pool must agree."""
+    """The reference and the single-read prepass must agree."""
     serial = bootstrap_synchronization(
         traces, clock_groups=clock_groups, **kwargs
     )
@@ -71,14 +71,10 @@ def assert_parity(traces, clock_groups=(), **kwargs):
         for k, v in kwargs.items()
         if k in ("window_us", "auto_widen", "max_window_us")
     }
-    sharded = ShardedBootstrap(max_workers=0, **window_kwargs).bootstrap(
-        traces, clock_groups=clock_groups
-    )
-    pooled = ShardedBootstrap(max_workers=2, **window_kwargs).bootstrap(
+    sharded = ShardedBootstrap(**window_kwargs).bootstrap(
         traces, clock_groups=clock_groups
     )
     assert result_fingerprint(sharded) == result_fingerprint(serial)
-    assert result_fingerprint(pooled) == result_fingerprint(serial)
     return serial
 
 
@@ -231,16 +227,13 @@ class TestStrictPartition:
             bootstrap_synchronization(self._islands(), strict=True)
         assert set(err.value.unreachable) == {2, 3}
 
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_sharded_strict_raises(self, workers):
+    def test_sharded_strict_raises(self):
         with pytest.raises(SyncPartitionError) as err:
-            ShardedBootstrap(max_workers=workers).bootstrap(
-                self._islands(), strict=True
-            )
+            ShardedBootstrap().bootstrap(self._islands(), strict=True)
         assert set(err.value.unreachable) == {2, 3}
 
     def test_non_strict_reports(self):
-        result = ShardedBootstrap(max_workers=0).bootstrap(self._islands())
+        result = ShardedBootstrap().bootstrap(self._islands())
         assert set(result.unreachable) == {2, 3}
 
 
@@ -298,7 +291,7 @@ class TestSingleReadIngest:
         # (covered by test_batched_ingest_decodes_by_batch below).
         streams = open_trace_streams(tmp_path, vectorized=False, decode_ahead=0)
         reference = bootstrap_synchronization(traces)
-        result = ShardedBootstrap(max_workers=0).bootstrap(streams)
+        result = ShardedBootstrap().bootstrap(streams)
         assert result_fingerprint(result) == result_fingerprint(reference)
         for stream in streams:
             # 1 s window over 200 ms spacing: ~6 records + 1 lookahead,
@@ -311,11 +304,8 @@ class TestSingleReadIngest:
         """The batch engine's laziness granularity is one chunk-sized
         batch: a bootstrap prefix pull must not drain a multi-chunk file
         into the replay buffer."""
-        from repro.jtrace import records as jrecords
         from repro.jtrace.io import open_trace_streams, write_traces
 
-        if not jrecords.BATCH_DECODE_AVAILABLE:
-            pytest.skip("numpy not available")
         frame = data_frame(seq=1)
         records = [
             record_for(frame, 0, 10_000 * i) for i in range(1, 4001)
@@ -407,29 +397,58 @@ class TestSingleReadIngest:
         assert report.bootstrap.window_us > 1_000_000
 
 
-class TestWorkerPolicy:
-    def test_resolves_like_sharded_unifier(self):
-        from repro.core.unify.sharded import ShardedUnifier
+class TestCampusWidening:
+    """Incremental widening on a multi-building (stamped) fleet."""
 
-        for max_workers, n_shards in [
-            (None, 1), (None, 3), (0, 3), (1, 3), (2, 3), (8, 3), (2, 1),
-        ]:
-            assert ShardedUnifier(
-                max_workers=max_workers
-            )._worker_count(n_shards) == resolve_pool_workers(
-                max_workers, n_shards
+    @pytest.fixture(scope="class")
+    def campus(self):
+        from repro.sim.campus import run_campus
+        from repro.sim.registry import scenario_config
+
+        return run_campus(
+            scenario_config("campus", "tiny", seed=17, n_buildings=4)
+        )
+
+    def test_round_payload_union_matches_full_collection(self, campus):
+        """The widening identity: per-round payloads over just each
+        round's records, fed at their absolute record indices, union
+        into exactly the payload of one full-window collection."""
+        full = _BootstrapShard()
+        rounds = []
+        for lo_frac, hi_frac in ((0.0, 0.3), (0.3, 0.7), (0.7, 1.0)):
+            shard = _BootstrapShard()
+            for pos, trace in enumerate(campus.traces):
+                records = trace.records
+                lo = int(lo_frac * len(records))
+                hi = (
+                    len(records)
+                    if hi_frac == 1.0
+                    else int(hi_frac * len(records))
+                )
+                shard.feed_slice(records, lo, hi, pos, trace.radio_id)
+            rounds.append(shard.finish())
+        for pos, trace in enumerate(campus.traces):
+            full.feed_slice(
+                trace.records, 0, len(trace.records), pos, trace.radio_id
             )
+        assert union_shard_payloads(rounds) == union_shard_payloads(
+            [full.finish()]
+        )
 
-    def test_serial_when_single_shard(self):
-        assert resolve_pool_workers(None, 1) == 1
-        assert resolve_pool_workers(16, 1) == 1
-
-    def test_explicit_pool_capped_by_cpu_count(self):
-        import os
-
-        # An explicit request is capped by the machine's cores, never
-        # demoted to serial (floor of two) and never wider than shards.
-        cap = max(2, os.cpu_count() or 1)
-        assert resolve_pool_workers(16, 4) == min(16, cap, 4)
-        assert resolve_pool_workers(2, 4) == 2
-        assert resolve_pool_workers(10_000, 3) == min(10_000, cap, 3)
+    def test_campus_widening_matches_reference(self, campus):
+        """A window small enough to force widening: the incremental
+        prepass must land on the one-shot reference's exact result."""
+        result = ShardedBootstrap(window_us=20_000).bootstrap(
+            campus.traces, clock_groups=campus.clock_groups
+        )
+        reference = bootstrap_synchronization(
+            campus.traces,
+            clock_groups=campus.clock_groups,
+            window_us=20_000,
+        )
+        assert result.widen_rounds > 0, (
+            "window did not force widening; shrink window_us"
+        )
+        assert result_fingerprint(result) == result_fingerprint(reference)
+        assert result.widen_rounds == reference.widen_rounds
+        assert result.quarantined == reference.quarantined

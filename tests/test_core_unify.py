@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.sync.bootstrap import BootstrapResult, bootstrap_synchronization
 from repro.core.unify.jframe import JFrameKind
-from repro.core.unify.unifier import Unifier
+from repro.core.unify.unifier import Unifier, partition_traces
 from repro.dot11.address import MacAddress
 from repro.dot11.frame import make_data
 from repro.dot11.serialize import frame_to_bytes
@@ -322,3 +322,113 @@ class TestSimulatorIntegration:
             + result.stats.records_skipped_unsynchronized
             == total_records
         )
+
+
+# --------------------------------------------------------------------------
+# Campus inputs: building stamps split the merge into (building, channel)
+# shards
+# --------------------------------------------------------------------------
+
+N_BUILDINGS = 4
+
+
+def stripped(traces):
+    """The same records with the locality stamps removed (legacy input)."""
+    return [RadioTrace(t.radio_id, t.channel, t.records) for t in traces]
+
+
+def shard_ids(shards):
+    return [[t.radio_id for t in shard] for shard in shards]
+
+
+@pytest.fixture(scope="module")
+def campus():
+    from repro.sim.campus import run_campus
+    from repro.sim.registry import scenario_config
+
+    return run_campus(
+        scenario_config("campus", "tiny", seed=17, n_buildings=N_BUILDINGS)
+    )
+
+
+@pytest.fixture(scope="module")
+def campus_bootstrap(campus):
+    result = bootstrap_synchronization(
+        campus.traces, clock_groups=campus.clock_groups
+    )
+    # Stamped fleets default to island_mode="local": every building is
+    # its own expected reference island, nobody gets quarantined off a
+    # "primary" building's timeline.
+    assert result.quarantined == {}
+    assert sorted(len(i) for i in result.islands) == sorted(
+        len([t for t in campus.traces if t.building_id == b])
+        for b in range(N_BUILDINGS)
+    )
+    return result
+
+
+class TestCampusLocality:
+    def test_campus_shards_are_building_major(self, campus):
+        shards = partition_traces(campus.traces)
+        buildings = []
+        for shard in shards:
+            in_shard = {t.building_id for t in shard}
+            assert len(in_shard) == 1, "a shard never spans buildings"
+            buildings.append(in_shard.pop())
+        assert buildings == sorted(buildings)
+        assert len(set(buildings)) == N_BUILDINGS
+        # Every (building, channel) pair with records lives in a shard.
+        pairs = {(t.building_id, t.channel) for t in campus.traces if len(t)}
+        assert len(shards) >= len(pairs)
+
+    def test_legacy_traces_fall_back_to_channels(self, campus):
+        shards = partition_traces(stripped(campus.traces))
+        assert len(shards) < len(partition_traces(campus.traces))
+        stamps = {t.radio_id: t.building_id for t in campus.traces}
+        assert any(
+            len({stamps[t.radio_id] for t in shard}) > 1 for shard in shards
+        )
+
+    def test_mixed_stamps_fall_back_to_channels(self, campus):
+        """Locality is all-or-nothing: one unstamped trace demotes the
+        whole partition to channel-only (never a half-split)."""
+        traces = list(campus.traces)
+        traces[0] = RadioTrace(
+            traces[0].radio_id, traces[0].channel, traces[0].records
+        )
+        assert shard_ids(partition_traces(traces)) == shard_ids(
+            partition_traces(stripped(campus.traces))
+        )
+
+    def test_locality_confines_headless_attachment(
+        self, campus, campus_bootstrap
+    ):
+        """The one sanctioned divergence between the stamped and legacy
+        partitions: a corrupt record whose header is unparseable attaches
+        to the timestamp-nearest open group *in its shard*.  Channel-only
+        shards can pick a group from another building; (building,
+        channel) shards cannot, so the stamped merge emits at least as
+        many jframes (the strays front their own groups).
+        Re-partitioning only moves records between groups — it never
+        drops or duplicates one — so the instance count is conserved."""
+        stamped = Unifier().unify(campus.traces, campus_bootstrap)
+        legacy = Unifier().unify(stripped(campus.traces), campus_bootstrap)
+        assert len(stamped.jframes) >= len(legacy.jframes)
+
+        def instances(result):
+            return sum(len(jf.instances) for jf in result.jframes)
+
+        assert instances(stamped) == instances(legacy)
+
+    def test_campus_stream_matches_batch(self, campus, campus_bootstrap):
+        batch = Unifier().unify(campus.traces, campus_bootstrap)
+        streamed = list(
+            Unifier().iter_unify(campus.traces, campus_bootstrap)
+        )
+        assert [
+            (jf.timestamp_us, jf.channel, jf.fcs, jf.n_instances)
+            for jf in streamed
+        ] == [
+            (jf.timestamp_us, jf.channel, jf.fcs, jf.n_instances)
+            for jf in batch.jframes
+        ]

@@ -2,8 +2,8 @@
 
 Every pass-based analysis must produce results identical to its batch
 ``JigsawReport`` counterpart — on the small and building scenarios,
-with ``materialize=False``, and under ``ShardedUnifier`` (serial and
-process-pool) — plus the satellites: in-order exchange emission and the
+with ``materialize=False``, and with a caller-supplied ``Unifier`` —
+plus the satellites: in-order exchange emission and the
 experiment run-cache config fingerprint.
 """
 
@@ -29,7 +29,7 @@ from repro.core.analysis import (
 )
 from repro.core.passes import run_passes
 from repro.core.pipeline import JigsawPipeline
-from repro.core.unify import ShardedUnifier
+from repro.core.unify import Unifier
 from repro.sim import ScenarioConfig, run_scenario
 
 MIN_PACKETS = 20
@@ -177,13 +177,10 @@ class TestStreamingParitySmall:
         assert len(report.flows) > 0  # flows always survive
         assert_all_equal(report.passes, batch)
 
-    @pytest.mark.parametrize("max_workers", [1, 2])
-    def test_sharded_unifier_forwards_pass_feeds(self, small_setup, max_workers):
-        """Serial and process-pool sharded merges drive passes identically."""
+    def test_explicit_unifier_forwards_pass_feeds(self, small_setup):
+        """A caller-supplied unifier drives passes identically."""
         config, artifacts, _, batch = small_setup
-        pipeline = JigsawPipeline(
-            unifier=ShardedUnifier(max_workers=max_workers)
-        )
+        pipeline = JigsawPipeline(unifier=Unifier())
         report = pipeline.run_streaming(
             artifacts.radio_traces,
             list(make_passes(config, artifacts.wired_trace).values()),

@@ -6,28 +6,40 @@ flushing, no final checkpoint) and restored from its last periodic
 checkpoint must finish with exactly the jframes, health ledger, flows
 and sealed pass windows of one uninterrupted run.  And an uninterrupted
 daemon run must itself be bit-identical to the batch pipeline over the
-same records — serial and pool-sharded.
+same records: the live and batch drivers share one merge engine.
 
 The building scenario (compressed duration, full fleet shape) is the
-acceptance case; flash_crowd covers a second traffic shape.  Crash
-points are randomized (seeded) so each run of the suite exercises
+acceptance case; flash_crowd covers a second traffic shape, every
+registered family is checked daemon-vs-batch at tiny scale, and a
+multi-building campus checks the (building, channel) shard split.
+Crash points are randomized (seeded) so each run of the suite exercises
 different cut positions in the record stream.
 """
 
 import dataclasses
+import pickle
 import random
+import zlib
 
 import pytest
 
 from repro.core.pipeline import JigsawPipeline
-from repro.core.unify.sharded import ShardedUnifier
-from repro.service import JigsawDaemon, load_checkpoint
+from repro.core.sync.sharded import ShardedBootstrap
+from repro.core.unify import Unifier
+from repro.service import (
+    CHECKPOINT_MAGIC,
+    CheckpointError,
+    JigsawDaemon,
+    load_checkpoint,
+)
+from repro.service.checkpoint import _CHECKPOINT_HEADER
 from repro.service.windows import (
     WindowedInterferencePass,
     WindowedLossPass,
     WindowedSummaryPass,
 )
-from repro.sim import ScenarioConfig
+from repro.sim import REGISTRY, ScenarioConfig
+from repro.sim.campus import run_campus
 from repro.sim.registry import scenario_config
 from repro.sim.stream import live_feed, stream_scenario
 
@@ -159,14 +171,6 @@ class TestBuildingScenario:
         )
         assert_reports_identical(svc.report, batch)
 
-    def test_daemon_matches_batch_pool_sharded(self, config, reference):
-        _, svc = reference
-        streamed = stream_scenario(config)
-        batch = JigsawPipeline(
-            unifier=ShardedUnifier(max_workers=2)
-        ).run(streamed.traces, clock_groups=streamed.clock_groups())
-        assert_reports_identical(svc.report, batch)
-
     @pytest.mark.parametrize("crash_draw", [0, 1, 2])
     def test_crash_resume_bit_identical(
         self, config, reference, tmp_path, crash_draw
@@ -277,3 +281,86 @@ class TestFlashCrowdScenario:
         svc = d3.serve()
         assert svc is not None
         assert_service_identical(svc, svc_ref)
+
+
+@pytest.mark.parametrize("family", REGISTRY.names())
+def test_tiny_daemon_matches_batch(family):
+    """Every registered family, tiny scale: the live driver places valid,
+    corrupt and PHY-error records exactly as the batch driver does."""
+    config = scenario_config(family, "tiny", seed=5)
+    svc = JigsawDaemon(live_feed(config)).serve()
+    assert svc is not None
+    streamed = stream_scenario(config)
+    batch = JigsawPipeline().run(
+        streamed.traces, clock_groups=streamed.clock_groups()
+    )
+    assert_reports_identical(svc.report, batch)
+    assert svc.report.health == batch.health
+
+
+class ListFeed:
+    """Minimal service feed over materialized (campus) traces."""
+
+    def __init__(self, traces, clock_groups):
+        self.traces = list(traces)
+        self._clock_groups = [list(g) for g in clock_groups]
+        self._by_radio = {t.radio_id: t for t in self.traces}
+        self._cursor = {t.radio_id: 0 for t in self.traces}
+
+    def clock_groups(self):
+        return [list(g) for g in self._clock_groups]
+
+    def consumed(self):
+        return dict(self._cursor)
+
+    def seek(self, consumed):
+        self._cursor.update(consumed)
+
+    def next_record(self, radio_id):
+        trace = self._by_radio[radio_id]
+        index = self._cursor[radio_id]
+        if index >= len(trace.records):
+            return None
+        self._cursor[radio_id] = index + 1
+        return trace.records[index]
+
+
+class TestCampusScenario:
+    def test_daemon_matches_batch_campus(self):
+        """The live daemon over a four-building campus emits the batch
+        merge's jframes, jframe for jframe: both shard through the same
+        (building, channel) partition in the same tie-break order."""
+        campus = run_campus(
+            scenario_config("campus", "tiny", seed=17, n_buildings=4)
+        )
+        service = JigsawDaemon(
+            ListFeed(campus.traces, campus.clock_groups)
+        ).serve()
+        assert service is not None
+        # The daemon's bootstrap policy: the serial prepass, 1 s window,
+        # auto-widen.
+        boot = ShardedBootstrap().bootstrap(
+            campus.traces, clock_groups=campus.clock_groups
+        )
+        batch = Unifier().unify(campus.traces, boot)
+        report = service.report
+        assert fingerprints(report.jframes) == fingerprints(batch.jframes)
+        assert report.unification.stats == batch.stats
+        assert report.bootstrap.offsets_us == boot.offsets_us
+        assert report.bootstrap.quarantined == {}
+
+
+def test_version_1_checkpoint_refused(tmp_path):
+    """A well-formed version-1 file (pool health sections in its
+    ``HealthReport``) is refused by version, not by a raw unpickling
+    error about a class this build no longer has."""
+    payload = pickle.dumps({"state": "from an older build"})
+    path = tmp_path / "v1.ckpt"
+    path.write_bytes(
+        _CHECKPOINT_HEADER.pack(
+            CHECKPOINT_MAGIC, 1, zlib.crc32(payload) & 0xFFFFFFFF, len(payload)
+        )
+        + payload
+    )
+    with pytest.raises(CheckpointError, match="version 1"):
+        load_checkpoint(path)

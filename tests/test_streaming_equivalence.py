@@ -1,10 +1,10 @@
-"""Property tests: sharded/streaming unification ≡ batch unification.
+"""Property tests: streaming unification ≡ batch unification.
 
-The sharded streaming engine must produce jframe-for-jframe identical
-output — timestamps, kinds, instance sets, dispersion, resync counts — to
-the batch ``Unifier.unify()`` across every execution mode (generator
-stream, serial shards, process-pool shards), on randomized multi-channel
-building-style traces.
+The streaming API must produce jframe-for-jframe identical output —
+timestamps, kinds, instance sets, dispersion, resync counts — to the
+batch ``Unifier.unify()`` (generator stream and drained
+:class:`~repro.core.unify.UnifyStream` alike), on randomized
+multi-channel building-style traces.
 """
 
 import random
@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.core.sync.bootstrap import BootstrapResult
-from repro.core.unify import ShardedUnifier, Unifier, partition_traces
+from repro.core.unify import Unifier, partition_traces
 from repro.dot11.address import MacAddress
 from repro.dot11.frame import make_ack, make_data
 from repro.dot11.serialize import frame_to_bytes
@@ -149,26 +149,10 @@ def test_all_execution_modes_identical(seed):
     streamed = list(Unifier().iter_unify(traces, bootstrap))
     assert [jframe_fingerprint(jf) for jf in streamed] == reference
 
-    serial = ShardedUnifier(max_workers=1).unify(traces, bootstrap)
-    assert [jframe_fingerprint(jf) for jf in serial.jframes] == reference
-    assert stats_fingerprint(serial.stats) == stats_fingerprint(batch.stats)
-    assert tracks_fingerprint(serial.tracks) == tracks_fingerprint(batch.tracks)
-
-
-@pytest.mark.parametrize("seed", [1, 2])
-def test_process_pool_identical(seed):
-    traces, bootstrap = random_building_traces(
-        seed, transmissions_per_channel=60
-    )
-    batch = Unifier().unify(traces, bootstrap)
-    pooled = ShardedUnifier(max_workers=2).unify(traces, bootstrap)
-    assert [jframe_fingerprint(jf) for jf in pooled.jframes] == [
-        jframe_fingerprint(jf) for jf in batch.jframes
-    ]
-    assert stats_fingerprint(pooled.stats) == stats_fingerprint(batch.stats)
-    assert tracks_fingerprint(pooled.tracks) == tracks_fingerprint(
-        batch.tracks
-    )
+    stream = Unifier().stream_unify(traces, bootstrap)
+    assert [jframe_fingerprint(jf) for jf in stream] == reference
+    assert stats_fingerprint(stream.stats) == stats_fingerprint(batch.stats)
+    assert tracks_fingerprint(stream.tracks) == tracks_fingerprint(batch.tracks)
 
 
 def test_stream_is_time_ordered_and_lazy():
@@ -206,10 +190,11 @@ def test_unsynchronized_radio_skipped_in_sharded():
     dropped = traces[0].radio_id
     del bootstrap.offsets_us[dropped]
     batch = Unifier().unify(traces, bootstrap)
-    sharded = ShardedUnifier(max_workers=1).unify(traces, bootstrap)
+    stream = Unifier().stream_unify(traces, bootstrap)
+    list(stream)
     assert batch.stats.records_skipped_unsynchronized == len(traces[0])
-    assert stats_fingerprint(sharded.stats) == stats_fingerprint(batch.stats)
-    assert dropped not in sharded.tracks
+    assert stats_fingerprint(stream.stats) == stats_fingerprint(batch.stats)
+    assert dropped not in stream.tracks
 
 
 class TestPartition:
@@ -244,7 +229,7 @@ class TestPartition:
 
 
 def test_small_simulation_equivalence():
-    """End-to-end: the simulator's multi-channel fleet, all modes agree."""
+    """End-to-end: the simulator's multi-channel fleet, both APIs agree."""
     from repro.sim import ScenarioConfig, run_scenario
     from repro.core.sync.bootstrap import bootstrap_synchronization
 
@@ -253,10 +238,8 @@ def test_small_simulation_equivalence():
         artifacts.radio_traces, clock_groups=artifacts.clock_groups()
     )
     batch = Unifier().unify(artifacts.radio_traces, bootstrap)
-    sharded = ShardedUnifier(max_workers=1).unify(
-        artifacts.radio_traces, bootstrap
-    )
-    assert [jframe_fingerprint(jf) for jf in sharded.jframes] == [
+    stream = Unifier().stream_unify(artifacts.radio_traces, bootstrap)
+    assert [jframe_fingerprint(jf) for jf in stream] == [
         jframe_fingerprint(jf) for jf in batch.jframes
     ]
-    assert stats_fingerprint(sharded.stats) == stats_fingerprint(batch.stats)
+    assert stats_fingerprint(stream.stats) == stats_fingerprint(batch.stats)
